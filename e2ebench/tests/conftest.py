@@ -1,0 +1,13 @@
+"""Make the benchmark's modules and the checkout's ``repro`` importable.
+
+Run from the root of the checkout: ``python -m pytest e2ebench/tests``.
+"""
+
+import os
+import sys
+
+BENCH = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ROOT = os.path.dirname(BENCH)
+for path in (BENCH, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
